@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -205,4 +206,28 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // writeError writes the daemon's uniform error body.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// maxJSONBody bounds job and watch request bodies; real ones are a few
+// hundred bytes. Trace ingest bodies are not bounded: they stream into
+// the store.
+const maxJSONBody = 1 << 20
+
+// decodeBody decodes a JSON request body into v, rejecting unknown
+// fields. On failure it writes the error reply — 413 for a body over
+// maxJSONBody, 400 otherwise — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+	default:
+		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	}
+	return false
 }

@@ -36,9 +36,11 @@
 //	       Observability section)
 //	GET    /debug/pprof/*                  runtime profiles (-pprof only)
 //
-// Submissions beyond the global queue cap or the tenant's queue cap are
-// rejected with 429; per-tenant running quotas bound how much of the
-// worker pool one tenant can hold. On SIGINT/SIGTERM the daemon drains:
+// Job and watch bodies over 1 MiB are rejected with 413; ingest bodies
+// are unbounded, since they stream into the store. Submissions beyond
+// the global queue cap or the tenant's queue cap are rejected with 429;
+// per-tenant running quotas bound how much of the worker pool one tenant
+// can hold. On SIGINT/SIGTERM the daemon drains:
 // intake stops (503), running and queued jobs get -drain-timeout to
 // finish, then stragglers are cancelled.
 package main
@@ -87,7 +89,7 @@ func main() {
 		TenantQueueCap: *tenantQueued, TenantRunning: *tenantRunning,
 		ResultTTL: *resultTTL,
 	}, *enablePprof)
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := newHTTPServer(*addr, srv)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -119,4 +121,17 @@ func main() {
 		log.Printf("metarepaird: http shutdown: %v", err)
 	}
 	log.Printf("metarepaird: bye")
+}
+
+// newHTTPServer bounds how long a connection may take to send its
+// request headers and how long an idle keep-alive connection is held.
+// It sets no write timeout: SSE event streams stay open for a job's or a
+// watch's lifetime.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -169,10 +168,17 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		if err != nil {
-			// The decoded prefix is already durable; the error names the
-			// first bad record so the client can resume past it.
-			flush()
-			writeError(w, http.StatusBadRequest, "record %d: %v", ingested+len(batch), err)
+			// Keep the decoded prefix and make it durable before naming the
+			// first bad record, so the client can resume past it.
+			if ferr := flush(); ferr != nil {
+				writeError(w, http.StatusInternalServerError, "append: %v", ferr)
+				return
+			}
+			if serr := st.Sync(); serr != nil {
+				writeError(w, http.StatusInternalServerError, "sync: %v", serr)
+				return
+			}
+			writeError(w, http.StatusBadRequest, "record %d: %v", ingested, err)
 			return
 		}
 		batch = append(batch, e)
@@ -226,10 +232,7 @@ func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req jobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	spec, err := s.registry.Lookup(req.Scenario)

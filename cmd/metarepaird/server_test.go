@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +17,7 @@ import (
 
 	"repro/internal/jobs"
 	"repro/internal/scenarios"
+	"repro/internal/trace"
 	"repro/internal/tracestore"
 	"repro/metarepair"
 	"repro/scenario"
@@ -483,5 +486,104 @@ func TestHealthz(t *testing.T) {
 	}
 	if h.Status != "ok" || h.Workers != 3 {
 		t.Fatalf("healthz: %+v", h)
+	}
+}
+
+// ingestWithBadTail encodes the first n workload records of Q1, then
+// half a record, as one binary ingest body.
+func ingestWithBadTail(t *testing.T, n int) []byte {
+	t.Helper()
+	sc := scenarios.Q1Spec().MustInstantiate(testScale)
+	var stream []byte
+	var err error
+	for _, e := range sc.Workload[:n] {
+		if stream, err = tracestore.Binary.AppendRecord(stream, e); err != nil {
+			t.Fatalf("encoding workload: %v", err)
+		}
+	}
+	return append(stream, make([]byte, trace.RecordSize/2)...)
+}
+
+// A bad record ends an ingest with 400, but only after the good prefix
+// is synced: a copy of the store directory taken right after the reply,
+// as a crash would leave it, reopens with exactly that prefix.
+func TestIngestBadRecordSyncsPrefix(t *testing.T) {
+	srv, ts := newTestServer(t, jobs.Config{Workers: 1})
+	const n = 10
+	resp, err := http.Post(ts.URL+"/v1/tenants/acme/traces/torn", "application/octet-stream",
+		bytes.NewReader(ingestWithBadTail(t, n)))
+	if err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	var body map[string]string
+	json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(body["error"], fmt.Sprintf("record %d:", n)) {
+		t.Fatalf("ingest: status %d, body %v (want 400 naming record %d)", resp.StatusCode, body, n)
+	}
+	crash := t.TempDir()
+	if err := os.CopyFS(crash, os.DirFS(filepath.Join(srv.tenants.Root(), "acme", "torn"))); err != nil {
+		t.Fatalf("copying store: %v", err)
+	}
+	st, err := tracestore.Open(crash, tracestore.Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer st.Close()
+	if got := st.Stats().Entries; got != n {
+		t.Fatalf("reopened store holds %d entries, want %d", got, n)
+	}
+}
+
+// When the good prefix before a bad record cannot be appended, the
+// reply is a 500 naming the append, not a 400 about the record.
+func TestIngestBadRecordAppendFailure(t *testing.T) {
+	srv, ts := newTestServer(t, jobs.Config{Workers: 1})
+	st, err := srv.tenants.Open("acme", "closed")
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	st.Close()
+	resp, err := http.Post(ts.URL+"/v1/tenants/acme/traces/closed", "application/octet-stream",
+		bytes.NewReader(ingestWithBadTail(t, 3)))
+	if err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	var body map[string]string
+	json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || !strings.HasPrefix(body["error"], "append:") {
+		t.Fatalf("ingest into a closed store: status %d, body %v (want 500 append)", resp.StatusCode, body)
+	}
+}
+
+// Job and watch bodies are bounded: an oversized one gets 413 with the
+// daemon's JSON error body.
+func TestOversizedJSONBodies(t *testing.T) {
+	_, ts := newTestServer(t, jobs.Config{Workers: 1})
+	huge := `{"scenario":"` + strings.Repeat("a", maxJSONBody) + `"}`
+	for _, route := range []string{"/v1/tenants/acme/jobs", "/v1/tenants/acme/watches"} {
+		resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatalf("POST %s: %v", route, err)
+		}
+		var body map[string]string
+		derr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || derr != nil || body["error"] == "" {
+			t.Fatalf("POST %s: status %d (decode error %v), want 413 with an error body",
+				route, resp.StatusCode, derr)
+		}
+	}
+}
+
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(":0", http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Fatalf("header timeout %v, idle timeout %v: both must be set", hs.ReadHeaderTimeout, hs.IdleTimeout)
+	}
+	if hs.WriteTimeout != 0 || hs.ReadTimeout != 0 {
+		t.Fatalf("write timeout %v, read timeout %v: SSE streams and ingest bodies must not be cut",
+			hs.WriteTimeout, hs.ReadTimeout)
 	}
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -166,10 +165,7 @@ func (s *server) handleCreateWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req watchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Trace == "" {

@@ -235,7 +235,6 @@ func (j *Job) runShared(ctx context.Context) ([]Result, ndlog.EngineStats, error
 	net.Ctrl = ctl
 	if j.Eval == ndlog.EvalDelta {
 		eng.SetEvalMode(ndlog.EvalDelta)
-		net.EnableFlowIndex()
 	}
 
 	// Seed controller state: a tuple deleted by candidate i is inserted

@@ -1,29 +1,31 @@
 package sdn
 
-// Tuple-space-search flow-table index (the delta-backtesting fast path).
-//
-// A shared 63-candidate run installs an entry set roughly proportional to
-// the number of diverging candidates, and matchGroups' linear scan over it
-// runs once per hop per packet — one of the two dominant costs in the
-// Figure 9b profile. The index partitions entries by wildcard signature
-// (which of the six match fields are concrete); within a signature every
-// entry is an exact match over its concrete fields, so one hash probe per
-// signature yields the packet's candidate entries. Lookup then k-way
-// merges the per-signature buckets by (priority desc, install seq asc),
-// reproducing the linear scan's order exactly: the flat table is kept
-// sorted by priority with ties in installation order, which is exactly
-// install-seq order, and bucket membership is equivalent to Match.Matches
-// (concrete fields equal the packet's, wildcards match anything).
-//
-// The index is opt-in (Network.EnableFlowIndex, set by delta-mode
-// backtests); the flat table remains authoritative for Table(),
-// diagnostics, and the full-mode oracle path.
+import "sort"
 
-// idxEntry is one indexed flow entry plus its global installation sequence
-// (the linear scan's tie-break among equal priorities).
+// Tuple-space-search flow table: the switch's only entry store and its
+// only matcher.
+//
+// Entries are partitioned by wildcard signature (which of the six match
+// fields are concrete); within a signature every entry is an exact match
+// over its concrete fields, so one hash probe per signature yields the
+// packet's candidate entries. Lookup k-way merges those buckets by
+// (priority desc, install seq asc): the order in which an OpenFlow table
+// sorted by priority, ties in installation order, would be scanned.
+// Bucket membership is equivalent to Match.Matches (concrete fields equal
+// the packet's, wildcards match anything), so no per-entry match test
+// runs. A linear scan over Table() is the test oracle (match_test.go).
+//
+// An entry's Match is not stored: its signature and bucket key determine
+// it, and Table() rebuilds it. Buckets therefore hold no pointers and
+// cost the garbage collector nothing to scan.
+
+// idxEntry is one installed flow entry minus its match, plus its
+// installation sequence number (the tie-break among equal priorities).
 type idxEntry struct {
-	e   FlowEntry
-	seq int
+	prio int
+	seq  int
+	act  Action
+	tags uint64
 }
 
 // maskGroup holds all entries sharing one wildcard signature, bucketed by
@@ -34,7 +36,7 @@ type maskGroup struct {
 	buckets map[[6]int64][]idxEntry
 }
 
-// flowIndex is the per-switch tuple-space index.
+// flowIndex is the per-switch tuple-space flow table.
 type flowIndex struct {
 	groups []*maskGroup
 	bySig  map[uint8]*maskGroup
@@ -59,23 +61,25 @@ func maskSig(m Match) (sig uint8, key [6]int64) {
 	return sig, key
 }
 
-// packetKey projects the packet's header onto a signature's concrete
-// fields; unset fields stay zero, matching maskSig's encoding.
-func packetKey(sig uint8, inPort int64, p Packet) (key [6]int64) {
-	vals := [6]int64{inPort, p.SrcIP, p.DstIP, p.SrcPort, p.DstPort, p.Proto}
-	for i := 0; i < 6; i++ {
+// sigMatch is maskSig's inverse: the Match whose concrete fields are the
+// signature's, valued from the key.
+func sigMatch(sig uint8, key [6]int64) Match {
+	var fields [6]*int64
+	for i := range fields {
 		if sig&(1<<uint(i)) != 0 {
-			key[i] = vals[i]
+			v := key[i]
+			fields[i] = &v
 		}
 	}
-	return key
+	return Match{InPort: fields[0], SrcIP: fields[1], DstIP: fields[2],
+		SrcPort: fields[3], DstPort: fields[4], Proto: fields[5]}
 }
 
-// install adds an entry, reporting false when an identical earlier entry
-// already covers its tag set (the flat table's idempotent re-install).
-// The covered-duplicate check only needs this entry's own bucket:
-// Match.Equal implies equal signature and key.
-func (fi *flowIndex) install(e FlowEntry) bool {
+// install adds an entry unless an identical earlier entry already covers
+// its tag set (an idempotent re-install). The covered-duplicate check
+// only needs this entry's own bucket: Match.Equal implies equal signature
+// and key.
+func (fi *flowIndex) install(e FlowEntry) {
 	sig, key := maskSig(e.Match)
 	g := fi.bySig[sig]
 	if g == nil {
@@ -85,24 +89,71 @@ func (fi *flowIndex) install(e FlowEntry) bool {
 	}
 	bucket := g.buckets[key]
 	for i := range bucket {
-		t := &bucket[i].e
-		if t.Priority == e.Priority && t.Action == e.Action && e.Tags&^t.Tags == 0 {
-			return false
+		t := &bucket[i]
+		if t.prio == e.Priority && t.act == e.Action && e.Tags&^t.tags == 0 {
+			return
 		}
 	}
 	fi.seq++
 	pos := len(bucket)
 	for i := range bucket {
-		if bucket[i].e.Priority < e.Priority {
+		if bucket[i].prio < e.Priority {
 			pos = i
 			break
 		}
 	}
 	bucket = append(bucket, idxEntry{})
 	copy(bucket[pos+1:], bucket[pos:])
-	bucket[pos] = idxEntry{e: e, seq: fi.seq}
+	bucket[pos] = idxEntry{prio: e.Priority, seq: fi.seq, act: e.Action, tags: e.Tags}
 	g.buckets[key] = bucket
-	return true
+}
+
+// Table returns a copy of the flow table, highest priority first with
+// equal-priority ties in installation order.
+func (s *Switch) Table() []FlowEntry {
+	type seqEntry struct {
+		e   FlowEntry
+		seq int
+	}
+	var all []seqEntry
+	for _, g := range s.idx.groups {
+		for key, b := range g.buckets {
+			m := sigMatch(g.sig, key)
+			for _, ie := range b {
+				all = append(all, seqEntry{FlowEntry{Priority: ie.prio, Match: m, Action: ie.act, Tags: ie.tags}, ie.seq})
+			}
+		}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].e.Priority != all[j].e.Priority {
+			return all[i].e.Priority > all[j].e.Priority
+		}
+		return all[i].seq < all[j].seq
+	})
+	out := make([]FlowEntry, len(all))
+	for i := range all {
+		out[i] = all[i].e
+	}
+	return out
+}
+
+// actionGroup is one action and the tag set it won during matching.
+type actionGroup struct {
+	act  Action
+	tags uint64
+}
+
+// addAction ORs tags into the action's group, appending a new group when
+// the action is new; the distinct-action count per packet is tiny, so a
+// linear probe beats a map (and its per-hop allocation).
+func addAction(acts []actionGroup, a Action, tags uint64) []actionGroup {
+	for i := range acts {
+		if acts[i].act == a {
+			acts[i].tags |= tags
+			return acts
+		}
+	}
+	return append(acts, actionGroup{act: a, tags: tags})
 }
 
 // idxCursor walks one bucket during the lookup merge.
@@ -111,15 +162,24 @@ type idxCursor struct {
 	i      int
 }
 
-// matchActionsIndexed is matchActions answered from the index: one bucket
-// probe per signature, then a k-way merge in (priority desc, seq asc)
-// order — the flat scan's order. Bucket membership already guarantees the
-// match, so no Matches call is needed.
-func (s *Switch) matchActionsIndexed(inPort int64, p Packet, acts []actionGroup) ([]actionGroup, uint64) {
+// matchActions partitions the packet's tag set by the highest-priority
+// matching entry per tag, appending per-action groups to acts (callers
+// pass a stack buffer). The returned remainder (tags with no matching
+// entry) misses to the controller. It probes one bucket per signature,
+// then merges the hits in (priority desc, seq asc) order until every tag
+// is claimed or the buckets run out.
+func (s *Switch) matchActions(inPort int64, p Packet, acts []actionGroup) ([]actionGroup, uint64) {
 	remaining := p.Tags
+	vals := [6]int64{inPort, p.SrcIP, p.DstIP, p.SrcPort, p.DstPort, p.Proto}
 	cursors := s.mcur[:0]
 	for _, g := range s.idx.groups {
-		if b := g.buckets[packetKey(g.sig, inPort, p)]; len(b) > 0 {
+		var key [6]int64
+		for i := range key {
+			if g.sig&(1<<uint(i)) != 0 {
+				key[i] = vals[i]
+			}
+		}
+		if b := g.buckets[key]; len(b) > 0 {
 			cursors = append(cursors, idxCursor{bucket: b})
 		}
 	}
@@ -136,8 +196,7 @@ func (s *Switch) matchActionsIndexed(inPort int64, p Packet, acts []actionGroup)
 			}
 			be := &cursors[best].bucket[cursors[best].i]
 			ce := &c.bucket[c.i]
-			if ce.e.Priority > be.e.Priority ||
-				(ce.e.Priority == be.e.Priority && ce.seq < be.seq) {
+			if ce.prio > be.prio || (ce.prio == be.prio && ce.seq < be.seq) {
 				best = ci
 			}
 		}
@@ -146,30 +205,13 @@ func (s *Switch) matchActionsIndexed(inPort int64, p Packet, acts []actionGroup)
 		}
 		ent := &cursors[best].bucket[cursors[best].i]
 		cursors[best].i++
-		hit := remaining & ent.e.Tags
+		hit := remaining & ent.tags
 		if hit == 0 {
 			continue
 		}
-		acts = addAction(acts, ent.e.Action, hit)
+		acts = addAction(acts, ent.act, hit)
 		remaining &^= hit
 	}
 	s.mcur = cursors
 	return acts, remaining
-}
-
-// EnableFlowIndex routes the switch's matching through the tuple-space
-// index. The index is maintained from construction (it answers duplicate
-// detection on every install), with sequence numbers in installation
-// order — exactly the tie-break the sorted flat table's scan applies
-// among equal priorities — so the merge reproduces the scan's order.
-func (s *Switch) EnableFlowIndex() { s.indexed = true }
-
-// EnableFlowIndex switches every current and future switch of the network
-// to indexed flow-table matching (see Switch.EnableFlowIndex). Delta-mode
-// backtests enable it; behavior is identical to the linear-scan path.
-func (n *Network) EnableFlowIndex() {
-	n.flowIndexed = true
-	for _, s := range n.Switches {
-		s.EnableFlowIndex()
-	}
 }

@@ -1,6 +1,9 @@
 package sdn
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -111,8 +114,8 @@ func TestMatchEqualAgreesWithStringEquality(t *testing.T) {
 	}
 }
 
-// The binary-search insert must keep the seed's order: descending priority,
-// ties in installation order.
+// Install must keep the flow table's order: descending priority, ties in
+// installation order.
 func TestInstallKeepsStableTieOrder(t *testing.T) {
 	s := NewSwitch("s", 1)
 	mk := func(prio int, port int) FlowEntry {
@@ -176,4 +179,229 @@ func TestMatchGroupsPartitionProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// matchGroups is the map-shaped view of matchActions.
+func (s *Switch) matchGroups(inPort int64, p Packet) (groups map[Action]uint64, miss uint64) {
+	acts, miss := s.matchActions(inPort, p, nil)
+	groups = make(map[Action]uint64, len(acts))
+	for _, g := range acts {
+		groups[g.act] |= g.tags
+	}
+	return groups, miss
+}
+
+// scanMatch is the reference matcher the index must reproduce: a linear
+// scan over Table() in (priority desc, install order asc), where each tag
+// goes to the first entry that matches the packet and carries the tag.
+func scanMatch(s *Switch, inPort int64, p Packet) ([]actionGroup, uint64) {
+	remaining := p.Tags
+	var acts []actionGroup
+	for _, e := range s.Table() {
+		if remaining == 0 {
+			break
+		}
+		hit := remaining & e.Tags
+		if hit == 0 || !e.Match.Matches(inPort, p) {
+			continue
+		}
+		acts = addAction(acts, e.Action, hit)
+		remaining &^= hit
+	}
+	return acts, remaining
+}
+
+// refTable is an independent model of the flow table's contents: entries
+// in installation order, a re-install covered by an identical earlier
+// entry dropped, and the view stably sorted by descending priority.
+type refTable []FlowEntry
+
+func (rt *refTable) install(e FlowEntry) {
+	for _, t := range *rt {
+		if t.Priority == e.Priority && t.Match.Equal(e.Match) && t.Action == e.Action && e.Tags&^t.Tags == 0 {
+			return
+		}
+	}
+	*rt = append(*rt, e)
+}
+
+func (rt refTable) view() []FlowEntry {
+	out := append([]FlowEntry(nil), rt...)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Priority > out[j].Priority })
+	return out
+}
+
+// opReader turns a byte string into generator decisions, so the random
+// differential and the fuzz target drive one generator. Reads past the
+// end return zero.
+type opReader struct {
+	data []byte
+	off  int
+}
+
+func (r *opReader) done() bool { return r.off >= len(r.data) }
+
+func (r *opReader) next() byte {
+	if r.done() {
+		return 0
+	}
+	b := r.data[r.off]
+	r.off++
+	return b
+}
+
+func (r *opReader) intn(n int) int { return int(r.next()) % n }
+
+func (r *opReader) u64() uint64 {
+	var v uint64
+	for i := 0; i < 8; i++ {
+		v = v<<8 | uint64(r.next())
+	}
+	return v
+}
+
+// tags draws a tag set that exercises the whole 64-bit width: all tags,
+// the top tag, one arbitrary tag, or an arbitrary set.
+func (r *opReader) tags() uint64 {
+	switch r.intn(4) {
+	case 0:
+		return ^uint64(0)
+	case 1:
+		return 1<<63 | r.u64()>>60
+	case 2:
+		return 1 << uint(r.intn(64))
+	}
+	return r.u64()
+}
+
+// fieldVal draws a match or header value from a small universe, so
+// generated entries collide on keys and generated packets hit them.
+func (r *opReader) fieldVal() int64 { return int64(r.intn(4)) }
+
+func (r *opReader) entry() FlowEntry {
+	sig := uint8(r.intn(64))
+	var key [6]int64
+	for i := range key {
+		key[i] = r.fieldVal()
+	}
+	act := Action{Kind: ActionOutput, Port: r.intn(3)}
+	if r.intn(4) == 0 {
+		act = Action{Kind: ActionDrop}
+	}
+	return FlowEntry{Priority: r.intn(4), Match: sigMatch(sig, key), Action: act, Tags: r.tags()}
+}
+
+// packet draws a lookup, usually with header values copied from an
+// installed entry's concrete fields so that lookups hit.
+func (r *opReader) packet(installed []FlowEntry) (int64, Packet) {
+	var vals [6]int64
+	for i := range vals {
+		vals[i] = r.fieldVal()
+	}
+	if len(installed) > 0 && r.intn(4) != 0 {
+		sig, key := maskSig(installed[r.intn(len(installed))].Match)
+		for i := range vals {
+			if sig&(1<<uint(i)) != 0 {
+				vals[i] = key[i]
+			}
+		}
+	}
+	return vals[0], Packet{SrcIP: vals[1], DstIP: vals[2], SrcPort: vals[3],
+		DstPort: vals[4], Proto: vals[5], Tags: r.tags()}
+}
+
+// runFlowIndexProgram interprets data as a sequence of installs (fresh
+// entries, covered re-installs, uncovered re-installs) interleaved with
+// lookups. Every lookup must give the scan oracle's action groups, in
+// order, and its miss mask; the table must equal the reference model's.
+// It returns the number of lookups and of lookups that matched a tag.
+func runFlowIndexProgram(t *testing.T, data []byte) (lookups, hits int) {
+	t.Helper()
+	r := &opReader{data: data}
+	s := NewSwitch("s", 1)
+	var ref refTable
+	var installed []FlowEntry
+	install := func(e FlowEntry) {
+		s.Install(e)
+		ref.install(e)
+		installed = append(installed, e)
+	}
+	for !r.done() {
+		switch op := r.intn(8); {
+		case op < 3:
+			install(r.entry())
+		case op < 5 && len(installed) > 0:
+			e := installed[r.intn(len(installed))]
+			switch r.intn(3) {
+			case 0: // covered: the same tags or a subset
+				e.Tags &= r.u64() | uint64(r.intn(2))*^uint64(0)
+			case 1: // uncovered: extra tags
+				e.Tags |= r.tags()
+			default: // a new entry at another priority
+				e.Priority = r.intn(4)
+			}
+			install(e)
+		default:
+			inPort, p := r.packet(installed)
+			wantActs, wantMiss := scanMatch(s, inPort, p)
+			gotActs, gotMiss := s.matchActions(inPort, p, nil)
+			if gotMiss != wantMiss || !reflect.DeepEqual(gotActs, wantActs) {
+				t.Fatalf("lookup %d (in %d, %v tags %#x): index gave %v miss %#x, scan gave %v miss %#x",
+					lookups, inPort, p, p.Tags, gotActs, gotMiss, wantActs, wantMiss)
+			}
+			lookups++
+			if wantMiss != p.Tags {
+				hits++
+			}
+		}
+	}
+	got, want := s.Table(), ref.view()
+	if len(got) != len(want) {
+		t.Fatalf("table has %d entries, the model %d", len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Priority != w.Priority || !g.Match.Equal(w.Match) || g.Action != w.Action || g.Tags != w.Tags {
+			t.Fatalf("table[%d] = %v tags %#x, model %v tags %#x", i, g, g.Tags, w, w.Tags)
+		}
+	}
+	return lookups, hits
+}
+
+// genProgram draws one generator input of n bytes.
+func genProgram(rng *rand.Rand, n int) []byte {
+	b := make([]byte, n)
+	rng.Read(b)
+	return b
+}
+
+// The tuple-space index must reproduce the scan oracle on generated
+// switches: random signatures over all six fields, priority ties,
+// covered and uncovered re-installs, 64-bit tag sets, and installs
+// interleaved with lookups that mostly hit.
+func TestFlowIndexMatchesScanGenerated(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	lookups, hits := 0, 0
+	for i := 0; i < 300; i++ {
+		l, h := runFlowIndexProgram(t, genProgram(rng, 64+rng.Intn(4000)))
+		lookups += l
+		hits += h
+	}
+	t.Logf("%d lookups, %d hit", lookups, hits)
+	// The generator must keep exercising the merge, not just misses.
+	if lookups < 10000 || hits*2 < lookups {
+		t.Fatalf("weak generator: %d lookups, %d hit", lookups, hits)
+	}
+}
+
+func FuzzFlowIndexMatchesScan(f *testing.F) {
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 8; i++ {
+		f.Add(genProgram(rng, 256<<uint(i%4)))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 7, 7, 7, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runFlowIndexProgram(t, data)
+	})
 }

@@ -13,16 +13,11 @@ type Switch struct {
 	Num    int64 // numeric ID used by controller programs (Swi)
 	ports  map[int]string
 	portOf map[string]int // reverse of ports: neighbour -> port
-	table  []FlowEntry
 
-	// idx answers duplicate detection on every install (one bucket probe
-	// instead of a whole-table scan) and, when indexed is set, matching
-	// too (see flowindex.go). The flat table stays authoritative for
-	// Table(), diagnostics, and scan matching; while indexed it is kept in
-	// raw installation order and sorted on demand.
-	idx     *flowIndex
-	indexed bool
-	mcur    []idxCursor // reusable merge cursors for indexed lookups
+	// idx is the flow table: a tuple-space index that stores every
+	// installed entry and answers every lookup (see flowindex.go).
+	idx  *flowIndex
+	mcur []idxCursor // reusable merge cursors for lookups
 }
 
 // NewSwitch creates a switch.
@@ -62,99 +57,12 @@ func (s *Switch) Ports() []int {
 
 // Install adds a flow entry. Re-installing an entry whose tag set is
 // already covered by an identical earlier entry is a no-op; otherwise the
-// entry is appended, so that ties between equal-priority entries resolve
-// by installation order exactly as they would in a per-candidate
-// sequential run. (Merging tag sets into earlier entries would silently
-// promote a later derivation ahead of the entry that should win the tie.)
-func (s *Switch) Install(e FlowEntry) {
-	// The index probes only the entry's own bucket for the covered
-	// duplicate (Match.Equal implies the same bucket).
-	if !s.idx.install(e) {
-		return
-	}
-	if s.indexed {
-		// Matching reads the index, so the flat table is only the
-		// Table() snapshot: append in install order, sort on demand.
-		s.table = append(s.table, e)
-		return
-	}
-	// Insert after every entry of >= priority: identical order to the
-	// seed's append + stable sort, without re-sorting the whole table.
-	i := sort.Search(len(s.table), func(i int) bool { return s.table[i].Priority < e.Priority })
-	s.table = append(s.table, FlowEntry{})
-	copy(s.table[i+1:], s.table[i:])
-	s.table[i] = e
-}
-
-// ClearTable removes all flow entries.
-func (s *Switch) ClearTable() {
-	s.table = nil
-	s.idx = newFlowIndex()
-}
-
-// Table returns a copy of the flow table, highest priority first with
-// equal-priority ties in installation order.
-func (s *Switch) Table() []FlowEntry {
-	out := append([]FlowEntry(nil), s.table...)
-	if s.indexed {
-		sort.SliceStable(out, func(i, j int) bool { return out[i].Priority > out[j].Priority })
-	}
-	return out
-}
-
-// actionGroup is one action and the tag set it won during matching.
-type actionGroup struct {
-	act  Action
-	tags uint64
-}
-
-// addAction ORs tags into the action's group, appending a new group when
-// the action is new; the distinct-action count per packet is tiny, so a
-// linear probe beats a map (and its per-hop allocation).
-func addAction(acts []actionGroup, a Action, tags uint64) []actionGroup {
-	for i := range acts {
-		if acts[i].act == a {
-			acts[i].tags |= tags
-			return acts
-		}
-	}
-	return append(acts, actionGroup{act: a, tags: tags})
-}
-
-// matchActions partitions the packet's tag set by the highest-priority
-// matching entry per tag, appending per-action groups to acts (callers
-// pass a stack buffer). The remainder mask (tags with no matching entry)
-// misses to the controller. The indexed and scan paths enumerate entries
-// in the same (priority desc, install order asc) order.
-func (s *Switch) matchActions(inPort int64, p Packet, acts []actionGroup) ([]actionGroup, uint64) {
-	remaining := p.Tags
-	if s.indexed {
-		return s.matchActionsIndexed(inPort, p, acts)
-	}
-	for _, e := range s.table {
-		if remaining == 0 {
-			break
-		}
-		hit := remaining & e.Tags
-		if hit == 0 || !e.Match.Matches(inPort, p) {
-			continue
-		}
-		acts = addAction(acts, e.Action, hit)
-		remaining &^= hit
-	}
-	return acts, remaining
-}
-
-// matchGroups is the map-shaped view of matchActions, kept for tests and
-// diagnostics.
-func (s *Switch) matchGroups(inPort int64, p Packet) (groups map[Action]uint64, miss uint64) {
-	acts, miss := s.matchActions(inPort, p, nil)
-	groups = make(map[Action]uint64, len(acts))
-	for _, g := range acts {
-		groups[g.act] |= g.tags
-	}
-	return groups, miss
-}
+// entry is added after every earlier entry of equal priority, so that
+// ties resolve by installation order exactly as they would in a
+// per-candidate sequential run. (Merging tag sets into earlier entries
+// would silently promote a later derivation ahead of the entry that
+// should win the tie.)
+func (s *Switch) Install(e FlowEntry) { s.idx.install(e) }
 
 // Host is an end host with an IP; it counts the packets it receives per
 // backtesting tag, which is the raw material for the §4.3 metrics.
@@ -248,10 +156,6 @@ type Network struct {
 	// MaxHops bounds forwarding loops (default 64).
 	MaxHops int
 
-	// flowIndexed records that EnableFlowIndex ran, so switches added
-	// later are indexed too.
-	flowIndexed bool
-
 	// hostIDCache is the sorted host-ID list Distribution reads, rebuilt
 	// whenever the host count changes; byNum finds switches by numeric ID
 	// in constant time for the controller's derived-tuple application.
@@ -286,9 +190,6 @@ func (n *Network) AddSwitch(s *Switch) {
 		n.byNum = make(map[int64]*Switch)
 	}
 	n.byNum[s.Num] = s
-	if n.flowIndexed {
-		s.EnableFlowIndex()
-	}
 }
 
 // SwitchByNum returns the switch with the given numeric ID (the Swi value

@@ -400,15 +400,6 @@ func (s *Session) evaluate(ctx context.Context, expl *Exploration, cands []metap
 			return
 		}
 		endBacktest()
-		// Attribute the backtest window to the evaluation mode: the delta
-		// child span covers the same bounds as its parent, so mode-aware
-		// consumers can split time without reshaping existing aggregations.
-		if o.eval == EvalDelta && o.strategy != StrategySequential {
-			if bsp, ok := tr.find(SpanBacktest); ok {
-				tr.add(Span{Name: SpanBacktestDelta, Parent: SpanBacktest,
-					Start: bsp.Start, End: bsp.End})
-			}
-		}
 
 		endVerdict := tr.start(SpanVerdict, SpanRun)
 		rep := &Report{
@@ -667,10 +658,6 @@ func (s *Session) runPipeline(ctx context.Context, sym Symptom, bt Backtest, o o
 	var overlap, replay time.Duration
 	if !pr.FirstBatchStart.IsZero() {
 		tr.add(Span{Name: SpanBacktest, Parent: SpanRun, Start: pr.FirstBatchStart, End: backtestEnd})
-		if o.eval == EvalDelta {
-			tr.add(Span{Name: SpanBacktestDelta, Parent: SpanBacktest,
-				Start: pr.FirstBatchStart, End: backtestEnd})
-		}
 		replay = backtestEnd.Sub(pr.FirstBatchStart)
 		if es, ok := tr.find(SpanExplore); ok && es.End.After(pr.FirstBatchStart) {
 			overlap = es.End.Sub(pr.FirstBatchStart)

@@ -34,11 +34,6 @@ const (
 	SpanBacktest = "backtest"
 	SpanBatch    = "batch"
 	SpanVerdict  = "verdict"
-	// SpanBacktestDelta is recorded as a child of SpanBacktest, covering
-	// the same window, when the shared runs used delta evaluation — so
-	// span consumers can attribute backtest time to a mode without any
-	// existing "backtest" aggregation changing shape.
-	SpanBacktestDelta = "backtest.delta"
 )
 
 // tracer collects the spans of one pipeline run and mirrors their

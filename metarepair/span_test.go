@@ -67,7 +67,7 @@ func checkSpanHierarchy(t *testing.T, rep *metarepair.Report, events []metarepai
 			continue
 		}
 		wantParent := metarepair.SpanRun
-		if s.Name == metarepair.SpanBatch || s.Name == metarepair.SpanBacktestDelta {
+		if s.Name == metarepair.SpanBatch {
 			wantParent = metarepair.SpanBacktest
 		}
 		if s.Parent != wantParent {
@@ -77,16 +77,6 @@ func checkSpanHierarchy(t *testing.T, rep *metarepair.Report, events []metarepai
 			t.Fatalf("span %q [%v, %v] escapes the run span [%v, %v]",
 				s.Name, s.Start, s.End, run.Start, run.End)
 		}
-	}
-	// The default evaluation mode is delta, so every shared-run
-	// composition must attribute the backtest window to it: exactly one
-	// backtest.delta child covering the same bounds as its parent.
-	bt := by[metarepair.SpanBacktest][0]
-	if deltas := by[metarepair.SpanBacktestDelta]; len(deltas) != 1 {
-		t.Fatalf("span %q appears %d times, want 1", metarepair.SpanBacktestDelta, len(deltas))
-	} else if !deltas[0].Start.Equal(bt.Start) || !deltas[0].End.Equal(bt.End) {
-		t.Fatalf("delta span [%v, %v] does not cover the backtest span [%v, %v]",
-			deltas[0].Start, deltas[0].End, bt.Start, bt.End)
 	}
 	verdict := by[metarepair.SpanVerdict][0]
 	if verdict.Start.Before(by[metarepair.SpanExplore][0].End) {
